@@ -20,13 +20,13 @@ type Calendar struct {
 	// to monotone per flow, so the next search usually resolves at or just
 	// after the hint without a binary search.
 	hint int
-	// Batch placement state: batchIv collects reservations placed against a
-	// frozen schedule (see BeginBatch); batchIdx is the monotone walk cursor;
-	// mergeBuf is reused scratch for the commit splice.
-	batchIv  []interval
+	// Batch placement state (see BeginBatch): batch is the open batch's
+	// output buffer (nil outside a batch), batchLo the index of the first
+	// interval of the walked window, and batchIdx the monotone walk cursor
+	// (-1 until the batch's first search), which ends the window.
+	batch    *Scratch
+	batchLo  int
 	batchIdx int
-	inBatch  bool
-	mergeBuf []interval
 }
 
 // Reserve books dur nanoseconds of server time at the earliest instant no
@@ -140,27 +140,43 @@ func (c *Calendar) ReserveRun(t, dur, gap int64, n int) (lastStart, totalWait in
 	return lastStart, totalWait
 }
 
+// Scratch is the output buffer of one open placement batch: BatchReserve
+// writes the merged window into it and CommitBatch splices it in. The
+// buffer grows to the largest window it has held and is reused, so a caller
+// that opens several batches at once keeps one Scratch per open batch and
+// hands the same ones to every later batch, instead of every calendar
+// holding a buffer of its own.
+type Scratch struct{ buf []interval }
+
 // BeginBatch starts a placement batch: reservations made with BatchReserve
 // are placed against the current schedule without mutating it and spliced in
 // all at once by CommitBatch. A batch requires a monotone flow — each
 // request must arrive at or after the previous batch reservation's end —
 // which guarantees the batch's own pending reservations can never constrain
 // a later placement, so placing against the frozen schedule is exact.
-// Repeated single inserts each shift the schedule tail; a batch of k
-// reservations into a schedule of m intervals costs one O(m+k) merge
-// instead of k shifts.
-func (c *Calendar) BeginBatch() {
-	c.batchIv = c.batchIv[:0]
+// The batch owns out until CommitBatch; out must not back another open
+// batch. Repeated single inserts each shift the schedule tail; a batch of k
+// reservations into a schedule of m intervals costs one O(m+k) walk and one
+// splice instead of k shifts.
+func (c *Calendar) BeginBatch(out *Scratch) {
+	out.buf = out.buf[:0]
+	c.batch = out
 	c.batchIdx = -1
-	c.inBatch = true
 }
 
 // InBatch reports whether a batch is open.
-func (c *Calendar) InBatch() bool { return c.inBatch }
+func (c *Calendar) InBatch() bool { return c.batch != nil }
 
 // BatchReserve books dur nanoseconds at the earliest instant no earlier
 // than t within the open batch and returns that start. t must be no earlier
 // than the end of the batch's previous reservation.
+//
+// The walk emits the merged window as it goes: every interval it steps past
+// ends at or before the new placement, and every interval it has not reached
+// starts at or after the placement's end, so appending each stepped-over
+// interval and then the placement keeps the batch buffer sorted. After the
+// last reservation the buffer is exactly iv[batchLo:batchIdx] merged with
+// the batch.
 func (c *Calendar) BatchReserve(t, dur int64) int64 {
 	if dur <= 0 {
 		return t
@@ -168,10 +184,12 @@ func (c *Calendar) BatchReserve(t, dur int64) int64 {
 	idx := c.batchIdx
 	if idx < 0 {
 		idx = c.searchEndAfter(t)
+		c.batchLo = idx
 	}
 	iv := c.iv
 	start := t
-	for idx < len(iv) {
+	first := idx
+	for ; idx < len(iv); idx++ {
 		if start+dur <= iv[idx].start {
 			break // the gap before interval idx fits
 		}
@@ -180,15 +198,27 @@ func (c *Calendar) BatchReserve(t, dur int64) int64 {
 		}
 		// This interval now ends at or before start, so it can never matter
 		// again: later arrivals in the (monotone) batch are >= start+dur.
-		idx++
 	}
 	c.batchIdx = idx
-	if m := len(c.batchIv); m > 0 && c.batchIv[m-1].end == start {
-		c.batchIv[m-1].end = start + dur
-	} else {
-		c.batchIv = append(c.batchIv, interval{start, start + dur})
+	out := c.batch.buf
+	if first < idx {
+		// Only the first stepped-over interval can touch the buffer's last
+		// span; the schedule's own intervals never touch each other.
+		out = appendSpan(out, iv[first])
+		out = append(out, iv[first+1:idx]...)
 	}
+	c.batch.buf = appendSpan(out, interval{start, start + dur})
 	return start
+}
+
+// appendSpan appends v to the sorted span list s, coalescing it with the
+// last span when they touch, as repeated insert would.
+func appendSpan(s []interval, v interval) []interval {
+	if n := len(s); n > 0 && s[n-1].end == v.start {
+		s[n-1].end = v.end
+		return s
+	}
+	return append(s, v)
 }
 
 // BatchReserveRun is ReserveRun within the open batch: n chained requests
@@ -208,135 +238,39 @@ func (c *Calendar) BatchReserveRun(t, dur, gap int64, n int) (lastStart, totalWa
 	return lastStart, totalWait
 }
 
-// Scratch is reusable merge scratch for CommitBatch. One Scratch may be
-// shared by any number of calendars whose commits are sequential (e.g. all
-// memory modules of one machine), so each machine grows one buffer instead
-// of one per module.
-type Scratch struct{ buf []interval }
-
-// CommitBatch splices the batch's reservations into the schedule with a
-// single merge pass and closes the batch, using the calendar's own scratch.
-func (c *Calendar) CommitBatch() { c.commit(&c.mergeBuf) }
-
-// CommitBatchScratch is CommitBatch with caller-provided merge scratch.
-func (c *Calendar) CommitBatchScratch(s *Scratch) { c.commit(&s.buf) }
-
-// commit splices the batch into the schedule. Only the window of existing
-// intervals that interleave with the batch's time range is merged
-// element-wise; the untouched suffix moves with one bulk copy.
-func (c *Calendar) commit(scratch *[]interval) {
-	news := c.batchIv
-	c.inBatch = false
-	if len(news) == 0 {
-		return
+// CommitBatch closes the open batch and splices its merged window over the
+// intervals it walked: iv = iv[:lo] + window + iv[hi:], moving the suffix
+// once.
+func (c *Calendar) CommitBatch() {
+	out := c.batch.buf
+	c.batch = nil
+	if c.batchIdx < 0 {
+		return // the batch booked nothing
 	}
-	lo := c.searchEndAfter(news[0].start)
-	lastEnd := news[len(news)-1].end
-	// hi is the first interval at or past the batch's range: intervals from
-	// there on cannot interleave with it (at most touch, handled below).
-	hi := lo
-	for hi < len(c.iv) && hi < lo+8 && c.iv[hi].start < lastEnd {
+	iv := c.iv
+	lo, hi := c.batchLo, c.batchIdx
+	// Coalesce across the window boundaries, as repeated insert would.
+	if lo > 0 && iv[lo-1].end == out[0].start {
+		lo--
+		out[0].start = iv[lo].start
+	}
+	if hi < len(iv) && out[len(out)-1].end == iv[hi].start {
+		out[len(out)-1].end = iv[hi].end
 		hi++
 	}
-	if hi == lo+8 && hi < len(c.iv) && c.iv[hi].start < lastEnd {
-		x, y := hi, len(c.iv)
-		for x < y {
-			mid := int(uint(x+y) >> 1)
-			if c.iv[mid].start < lastEnd {
-				x = mid + 1
-			} else {
-				y = mid
-			}
-		}
-		hi = x
-	}
-	var merged []interval
-	if lo == hi {
-		// No existing interval interleaves with the batch's range (the common
-		// case: the batch lands in open schedule); insert the block verbatim.
-		merged = news
+	need := lo + len(out) + len(iv) - hi
+	if need <= cap(iv) {
+		c.iv = iv[:need]
+		copy(c.iv[lo+len(out):], iv[hi:])
 	} else {
-		// Merge the window and the new intervals (both sorted, mutually
-		// disjoint), coalescing touching spans exactly as repeated insert
-		// would. Once one side runs out, the other's remainder is already
-		// coalesced internally and moves with a single bulk copy.
-		window := c.iv[lo:hi]
-		if maxLen := len(window) + len(news); cap(*scratch) < maxLen {
-			*scratch = make([]interval, 0, maxLen+maxLen/2)
-		}
-		merged = (*scratch)[:cap(*scratch)]
-		k := 0
-		wi, ni := 0, 0
-		for wi < len(window) && ni < len(news) {
-			var v interval
-			if news[ni].start < window[wi].start {
-				v = news[ni]
-				ni++
-			} else {
-				v = window[wi]
-				wi++
-			}
-			if k > 0 && merged[k-1].end == v.start {
-				merged[k-1].end = v.end
-			} else {
-				merged[k] = v
-				k++
-			}
-		}
-		if rem := news[ni:]; len(rem) > 0 {
-			if k > 0 && merged[k-1].end == rem[0].start {
-				merged[k-1].end = rem[0].end
-				rem = rem[1:]
-			}
-			k += copy(merged[k:], rem)
-		}
-		if rem := window[wi:]; len(rem) > 0 {
-			if k > 0 && merged[k-1].end == rem[0].start {
-				merged[k-1].end = rem[0].end
-				rem = rem[1:]
-			}
-			k += copy(merged[k:], rem)
-		}
-		merged = merged[:k]
+		c.iv = make([]interval, need, need+need/2)
+		copy(c.iv, iv[:lo])
+		copy(c.iv[lo+len(out):], iv[hi:])
 	}
-	// Coalesce across the window boundaries, as repeated insert would.
-	if lo > 0 && c.iv[lo-1].end == merged[0].start {
-		c.iv[lo-1].end = merged[0].end
-		merged = merged[1:]
-	}
-	if hi < len(c.iv) {
-		if m := len(merged); m > 0 {
-			if merged[m-1].end == c.iv[hi].start {
-				merged[m-1].end = c.iv[hi].end
-				hi++
-			}
-		} else if c.iv[lo-1].end == c.iv[hi].start {
-			// The whole batch collapsed into iv[lo-1], bridging it to iv[hi].
-			c.iv[lo-1].end = c.iv[hi].end
-			hi++
-		}
-	}
-	// Splice: iv = iv[:lo] + merged + iv[hi:], moving the suffix once.
-	tailLen := len(c.iv) - hi
-	need := lo + len(merged) + tailLen
-	if need <= cap(c.iv) {
-		old := c.iv
-		c.iv = c.iv[:need]
-		copy(c.iv[lo+len(merged):], old[hi:hi+tailLen])
-		copy(c.iv[lo:], merged)
-	} else {
-		grown := append(make([]interval, 0, need+need/2), c.iv[:lo]...)
-		grown = append(grown, merged...)
-		grown = append(grown, c.iv[hi:]...)
-		c.iv = grown
-	}
+	copy(c.iv[lo:], out)
 	// The next reservation in this flow lands at or after the batch's last
-	// placement, which sits at the end of the merged window.
-	if h := lo + len(merged) - 1; h >= 0 {
-		c.hint = h
-	} else {
-		c.hint = 0
-	}
+	// placement, which ends the merged window.
+	c.hint = lo + len(out) - 1
 }
 
 // insert places [s,e) before index i, merging with adjacent neighbours.

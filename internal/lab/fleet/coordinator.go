@@ -446,8 +446,13 @@ func (c *Coordinator) Mount(srv *lab.Server) {
 	srv.Handle("POST /fleet/heartbeat", http.HandlerFunc(c.handleHeartbeat))
 	srv.Handle("POST /fleet/leave", http.HandlerFunc(c.handleLeave))
 	srv.Handle("GET /fleet", http.HandlerFunc(c.handleStatus))
-	if c.cfg.Replicator != nil {
-		srv.Handle("POST /replica/pull", http.HandlerFunc(c.cfg.Replicator.HandlePull))
+	if rp := c.cfg.Replicator; rp != nil {
+		srv.Handle("POST /replica/pull", http.HandlerFunc(rp.HandlePull))
+		srv.AwaitReplication(func(ctx context.Context) {
+			if !rp.AwaitAck(ctx) {
+				c.cfg.Logf("replica: submission acknowledged without a standby's ack (rec=%d)", rp.j.Rec())
+			}
+		})
 	}
 	srv.AugmentMetrics(func() any { return c.Metrics() })
 }

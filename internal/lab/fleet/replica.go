@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -18,6 +19,11 @@ import (
 // behind simply pulls again immediately.
 const replicaBatchMax = 1024
 
+// replicaAckWait bounds how long AwaitAck holds a submission for a standby's
+// ack. A follower that has not pulled for this long counts as gone and is
+// not waited for.
+const replicaAckWait = 2 * time.Second
+
 // Replicator is the primary side of journal replication: it answers
 // standbys' pulls from the journal's bounded record tail (or with a full
 // state snapshot when a follower is beyond the tail) and tracks each
@@ -33,6 +39,8 @@ type Replicator struct {
 
 	mu        sync.Mutex
 	followers map[string]*followerState
+	// acked is closed, and replaced, whenever a follower's ack advances.
+	acked chan struct{}
 }
 
 type followerState struct {
@@ -43,7 +51,44 @@ type followerState struct {
 
 // NewReplicator builds the primary-side replication endpoint for a journal.
 func NewReplicator(j *lab.Journal) *Replicator {
-	return &Replicator{j: j, now: time.Now, followers: make(map[string]*followerState)}
+	return &Replicator{j: j, now: time.Now, followers: make(map[string]*followerState),
+		acked: make(chan struct{})}
+}
+
+// AwaitAck blocks until a follower has acknowledged every record the journal
+// holds now, which makes the primary's replication semi-synchronous: a
+// submission answered after AwaitAck survives the primary's death, because
+// the standby that takes over already has it. It returns at once when no
+// follower has pulled within replicaAckWait (nothing to wait for), and
+// reports false when it gave up — after replicaAckWait, or when ctx ended —
+// without an ack.
+func (rp *Replicator) AwaitAck(ctx context.Context) bool {
+	rec := rp.j.Rec()
+	deadline := time.NewTimer(replicaAckWait)
+	defer deadline.Stop()
+	for {
+		rp.mu.Lock()
+		live := false
+		for _, fs := range rp.followers {
+			if fs.acked >= rec {
+				rp.mu.Unlock()
+				return true
+			}
+			live = live || rp.now().Sub(fs.lastPull) < replicaAckWait
+		}
+		advanced := rp.acked
+		rp.mu.Unlock()
+		if !live {
+			return true
+		}
+		select {
+		case <-advanced:
+		case <-deadline.C:
+			return false
+		case <-ctx.Done():
+			return false
+		}
+	}
 }
 
 // HandlePull answers POST /replica/pull: records after the follower's ack,
@@ -78,6 +123,8 @@ func (rp *Replicator) HandlePull(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.AfterRec > fs.acked {
 		fs.acked = req.AfterRec
+		close(rp.acked)
+		rp.acked = make(chan struct{})
 	}
 	fs.lastPull = rp.now()
 	rp.mu.Unlock()
@@ -209,7 +256,9 @@ func (f *Follower) TookOver() bool { return f.tookOver.Load() }
 // tick performs one replication round; returns true when the follower took
 // over (and the loop should exit).
 func (f *Follower) tick() bool {
-	// Drain until caught up: a full batch means more records are waiting.
+	// Drain until caught up. Pull again after every non-empty batch: more
+	// records may be waiting, and the next request's ack is what releases
+	// submissions the primary holds in AwaitAck.
 	for {
 		n, answered, err := f.pullOnce()
 		if answered {
@@ -219,7 +268,7 @@ func (f *Follower) tick() bool {
 			f.cfg.Logf("replica: pull failed primary=%s err=%v", f.cfg.Primary, err)
 			break
 		}
-		if n < replicaBatchMax {
+		if n == 0 {
 			break
 		}
 	}

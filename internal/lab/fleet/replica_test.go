@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -81,6 +82,59 @@ func TestEpochGateMiddleware(t *testing.T) {
 	}
 	if reached.Load() != 3 { // headerless + epoch 3 + epoch 5
 		t.Fatalf("handler reached %d times, want 3", reached.Load())
+	}
+}
+
+// TestAwaitAckHoldsUntilStandbyHolds: with a standby pulling, AwaitAck
+// returns only once the standby's journal holds every record the primary had
+// when it was called; without a live standby it does not wait, and a standby
+// that stops pulling holds a submission no longer than its context allows.
+func TestAwaitAckHoldsUntilStandbyHolds(t *testing.T) {
+	primary := openTestJournal(t)
+	rep, hts := primaryFor(t, primary)
+	if !rep.AwaitAck(context.Background()) {
+		t.Fatal("AwaitAck with no follower gave up; want an immediate return")
+	}
+
+	standby := openTestJournal(t)
+	f := NewFollower(FollowerConfig{
+		Self:         core.WorkerRecord{ID: "sb", URL: "http://sb"},
+		Primary:      hts.URL,
+		Journal:      standby,
+		PullInterval: 20 * time.Millisecond,
+		DeadAfter:    time.Hour, // never take over in this test
+		Logf:         t.Logf,
+	})
+	f.Start()
+	waitFor(t, "first pull", func() bool { return len(rep.Followers()) == 1 })
+
+	for i, id := range []string{"j0001-aaaa", "j0002-bbbb", "j0003-cccc"} {
+		if err := primary.Submitted(id, i+1, core.Spec{Experiment: "numa", Quick: true}, "fp-"+id); err != nil {
+			t.Fatal(err)
+		}
+		want := primary.Rec()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		ok := rep.AwaitAck(ctx)
+		cancel()
+		if !ok || standby.Rec() < want {
+			t.Fatalf("AwaitAck = %v with standby at rec %d, want true at >= %d", ok, standby.Rec(), want)
+		}
+	}
+
+	// A standby that went quiet is still waited for, up to the caller's
+	// context, until its last pull is older than replicaAckWait.
+	f.Stop()
+	if err := primary.Submitted("j0004-dddd", 4, core.Spec{Experiment: "numa", Quick: true}, "fp-d"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if rep.AwaitAck(ctx) {
+		t.Fatal("AwaitAck returned true for a record no standby holds")
+	}
+	rep.now = func() time.Time { return time.Now().Add(replicaAckWait) }
+	if !rep.AwaitAck(context.Background()) {
+		t.Fatal("AwaitAck waited for a standby silent for replicaAckWait")
 	}
 }
 

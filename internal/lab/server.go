@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,6 +57,9 @@ type Server struct {
 	sched    atomic.Pointer[Scheduler]
 	draining atomic.Bool
 	fleet    atomic.Pointer[func() any]
+	// replicated, when set, runs between journaling a submission and
+	// acknowledging it (see AwaitReplication).
+	replicated atomic.Pointer[func(ctx context.Context)]
 }
 
 // NewServer wires the handlers. The scheduler is attached separately (see
@@ -98,6 +102,18 @@ func (s *Server) Handle(pattern string, handler http.Handler) {
 // AugmentMetrics registers a callback whose value lands in the /metrics
 // document's "fleet" field — live workers, reassignments, peer-cache hits.
 func (s *Server) AugmentMetrics(fn func() any) { s.fleet.Store(&fn) }
+
+// AwaitReplication registers a callback that POST /jobs and POST /sweeps run
+// after the submission is journaled and before they answer — the hook a
+// coordinator with a standby uses to acknowledge only what the standby
+// already holds, so an accepted submission survives the coordinator's death.
+func (s *Server) AwaitReplication(fn func(ctx context.Context)) { s.replicated.Store(&fn) }
+
+func (s *Server) awaitReplication(r *http.Request) {
+	if fn := s.replicated.Load(); fn != nil {
+		(*fn)(r.Context())
+	}
+}
 
 // cacheBlob serves one content-addressed result straight from the local
 // cache — the peer-fill endpoint ring siblings probe before simulating.
@@ -293,6 +309,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, sched, err)
 		return
 	}
+	s.awaitReplication(r)
 	status := http.StatusAccepted
 	if j.State() == StateDone { // served from cache at submit time
 		status = http.StatusOK
@@ -397,6 +414,7 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, sched, err)
 		return
 	}
+	s.awaitReplication(r)
 	resp := sweepResponse{ID: id, Points: len(jobs)}
 	for _, j := range jobs {
 		resp.Jobs = append(resp.Jobs, statusView(sched, j))

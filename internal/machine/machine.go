@@ -135,8 +135,8 @@ type Machine struct {
 	// NoSwitchContention remote path.
 	wordTransit int64
 	// scr holds Sweep's placement-batch scratch: the modules with an open
-	// batch, the per-ref module resolution, and the merge buffer the batch
-	// commits share. Classic machines use scr[0]; partitioned machines keep
+	// batch, the per-ref module resolution, and one output buffer per batch
+	// open at once, reused across sweeps. Classic machines use scr[0]; partitioned machines keep
 	// one per partition (sweeps on different partitions run concurrently)
 	// plus xscr for the coordinator's barrier-time exchange sweeps.
 	scr  []sweepScratch
@@ -710,19 +710,10 @@ func (m *Machine) Sweep(p *sim.Proc, items int, computeNs int64, refs []Ref) {
 	// observe a module's calendar before the sweep charges, and the sweep's
 	// own references reach each module in arrival-time order. Both conditions
 	// of the calendar batch contract hold, so each touched module's bookings
-	// are placed in a batch and spliced in once at the end — one merge pass
+	// are placed in a batch and spliced in once at the end — one splice
 	// instead of items*len(refs) mid-schedule inserts. Resolve each ref's
 	// module and open its batch once, outside the item loop.
-	mods := scr.refMods[:0]
-	for _, r := range refs {
-		mod := m.node(r.Node).Mem
-		mods = append(mods, mod)
-		if r.Words > 0 && !mod.InBatch() {
-			mod.BeginBatch()
-			scr.mods = append(scr.mods, mod)
-		}
-	}
-	scr.refMods = mods
+	mods := scr.open(m, refs)
 	var failNode int
 	var failKind fault.Kind
 	failed := false
@@ -767,10 +758,7 @@ outer:
 	// Commit before Charge: Charge may flush and park, handing the token to
 	// another process that must see the completed schedule. A drawn fault is
 	// raised only after both, so batches are never left open.
-	for _, mod := range scr.mods {
-		mod.CommitBatchScratch(&scr.commit)
-	}
-	scr.mods = scr.mods[:0]
+	scr.commit()
 	p.Charge(t - now)
 	if failed {
 		m.raiseFault(p, failNode, failKind)

@@ -25,11 +25,40 @@ import (
 
 // sweepScratch is the reusable buffer set of one Sweep call site: the
 // modules with an open placement batch, the per-ref module resolution, and
-// the merge scratch their commits share.
+// one batch output buffer per open batch. At most len(refs) batches are open
+// at once, so that many buffers serve every sweep of the call site.
 type sweepScratch struct {
 	mods    []*memory.Module
 	refMods []*memory.Module
-	commit  calendar.Scratch
+	outs    []*calendar.Scratch
+}
+
+// open resolves each ref's home module and opens a placement batch on every
+// module the sweep will book, handing each batch its own output buffer. It
+// returns the modules indexed like refs.
+func (s *sweepScratch) open(m *Machine, refs []Ref) []*memory.Module {
+	mods := s.refMods[:0]
+	for _, r := range refs {
+		mod := m.node(r.Node).Mem
+		mods = append(mods, mod)
+		if r.Words > 0 && !mod.InBatch() {
+			if len(s.mods) == len(s.outs) {
+				s.outs = append(s.outs, new(calendar.Scratch))
+			}
+			mod.BeginBatch(s.outs[len(s.mods)])
+			s.mods = append(s.mods, mod)
+		}
+	}
+	s.refMods = mods
+	return mods
+}
+
+// commit splices every open batch into its module's schedule.
+func (s *sweepScratch) commit() {
+	for _, mod := range s.mods {
+		mod.CommitBatch()
+	}
+	s.mods = s.mods[:0]
 }
 
 // exchangeAccess services a word-at-a-time off-node read/write at the
@@ -143,16 +172,7 @@ func (m *Machine) sweepBook(start int64, home int, items int, computeNs int64, r
 	fixedNet := m.Cfg.NoSwitchContention
 	gap := m.Cfg.PNCOverheadNs + 2*m.wordTransit
 	lead := m.Cfg.PNCOverheadNs + m.wordTransit
-	mods := scr.refMods[:0]
-	for _, r := range refs {
-		mod := m.node(r.Node).Mem
-		mods = append(mods, mod)
-		if r.Words > 0 && !mod.InBatch() {
-			mod.BeginBatch()
-			scr.mods = append(scr.mods, mod)
-		}
-	}
-	scr.refMods = mods
+	mods := scr.open(m, refs)
 	for it := 0; it < items; it++ {
 		t += computeNs
 		for j, r := range refs {
@@ -179,9 +199,6 @@ func (m *Machine) sweepBook(start int64, home int, items int, computeNs int64, r
 			}
 		}
 	}
-	for _, mod := range scr.mods {
-		mod.CommitBatchScratch(&scr.commit)
-	}
-	scr.mods = scr.mods[:0]
+	scr.commit()
 	return t
 }

@@ -126,20 +126,20 @@ func (m *Module) ServiceRun(now int64, words int, gap int64, local bool) (done i
 
 // BeginBatch opens a placement batch on the module's calendar: subsequent
 // ServiceBatch/ServiceRunBatch calls place reservations without mutating
-// the schedule, and CommitBatch splices them in with one merge pass. The
-// caller must issue a monotone flow (each reference arriving at or after
-// the previous one's completion) and commit before any other process can
-// touch the module — e.g. within a single engine event.
-func (m *Module) BeginBatch() { m.cal.BeginBatch() }
+// the schedule, and CommitBatch splices them in at once. The caller must
+// issue a monotone flow (each reference arriving at or after the previous
+// one's completion) and commit before any other process can touch the
+// module — e.g. within a single engine event. The batch builds its merged
+// window in out and holds it until CommitBatch, so every batch open at the
+// same time needs its own Scratch; after the commit, out may back the next
+// batch on any module.
+func (m *Module) BeginBatch(out *calendar.Scratch) { m.cal.BeginBatch(out) }
 
 // InBatch reports whether a placement batch is open.
 func (m *Module) InBatch() bool { return m.cal.InBatch() }
 
-// CommitBatch splices the open batch into the schedule.
+// CommitBatch splices the open batch into the schedule and closes it.
 func (m *Module) CommitBatch() { m.cal.CommitBatch() }
-
-// CommitBatchScratch is CommitBatch with shared merge scratch.
-func (m *Module) CommitBatchScratch(s *calendar.Scratch) { m.cal.CommitBatchScratch(s) }
 
 // ServiceBatch is Service within the open placement batch.
 func (m *Module) ServiceBatch(now int64, words int, local bool) (start, done int64) {

@@ -47,18 +47,18 @@ const (
 	threadDone
 )
 
-// Thread is one lightweight Ant Farm thread. While a thread runs, it *is*
-// the farm's Chrysalis process: it issues machine operations through
-// Farm.P and charges that process's virtual time.
+// Thread is one lightweight Ant Farm thread, run as a coroutine that the
+// farm's scheduler resumes. While a thread runs, it *is* the farm's
+// Chrysalis process: it issues machine operations through Farm.P and
+// charges that process's virtual time.
 type Thread struct {
 	ID   int
 	Name string
 	Farm *Farm
 
-	resume    chan struct{}
+	co        *sim.Coroutine
 	state     threadState
 	blockedOn string
-	body      func(t *Thread)
 	joiners   []*Thread
 	// timedSeq is a generation counter for timed blocks: each block bumps
 	// it, so stale deadline entries from an earlier block never expire the
@@ -78,13 +78,7 @@ type Farm struct {
 	runnable []*Thread
 	current  *Thread
 	live     int
-	yield    chan struct{}
 	wakeup   *chrysalis.Event
-	// fatal holds a process-terminating panic value (the engine's kill/exit
-	// sentinel or a hardware-fault Terminator) that unwound a *thread*
-	// goroutine; the scheduler re-raises it on the farm's root goroutine,
-	// where the engine's recovery handler runs.
-	fatal any
 	// pendingWake records that a wakeup post is owed because the farm may
 	// be blocked in its scheduler.
 	idle bool
@@ -120,11 +114,10 @@ func Run(self *chrysalis.Process, cfg Config, main func(t *Thread)) *Farm {
 		cfg = DefaultConfig()
 	}
 	f := &Farm{
-		Pr:    self,
-		P:     self.P,
-		OS:    self.OS,
-		Cfg:   cfg,
-		yield: make(chan struct{}),
+		Pr:  self,
+		P:   self.P,
+		OS:  self.OS,
+		Cfg: cfg,
 	}
 	f.wakeup = f.OS.NewEvent(self)
 	farmsMu.Lock()
@@ -166,44 +159,27 @@ func FarmOf(pr *chrysalis.Process) *Farm {
 // when the farm lives on another node.
 func (f *Farm) Spawn(name string, body func(t *Thread)) *Thread {
 	t := &Thread{
-		ID:     len(f.threads),
-		Name:   name,
-		Farm:   f,
-		resume: make(chan struct{}),
-		state:  threadReady,
-		body:   body,
+		ID:    len(f.threads),
+		Name:  name,
+		Farm:  f,
+		state: threadReady,
 	}
-	f.threads = append(f.threads, t)
-	f.live++
-	f.stats.Spawned++
-	go func() {
-		<-t.resume
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			// While a thread runs it *is* the farm's process, so a node kill
-			// (the engine's exit sentinel) or an unhandled hardware fault can
-			// unwind this goroutine instead of the process's root. Forward
-			// the value to the scheduler, which dies with it in the right
-			// place; anything else is a real bug and propagates.
-			if term, ok := r.(sim.Terminator); sim.IsExitPanic(r) || (ok && term.TerminatesProcess()) {
-				f.fatal = r
-				f.yield <- struct{}{}
-				return
-			}
-			panic(r)
-		}()
-		t.body(t)
+	// While a thread runs it *is* the farm's process, so a node kill (the
+	// engine's exit sentinel) or an unhandled hardware fault can unwind the
+	// thread's coroutine. Resume raises it again in the scheduler, on the
+	// process's own coroutine, where the engine's recovery handler runs.
+	t.co = sim.NewCoroutine(func() {
+		body(t)
 		t.state = threadDone
 		f.live--
 		for _, j := range t.joiners {
 			j.Unblock(f.P)
 		}
 		t.joiners = nil
-		f.yield <- struct{}{}
-	}()
+	})
+	f.threads = append(f.threads, t)
+	f.live++
+	f.stats.Spawned++
 	f.runnable = append(f.runnable, t)
 	// Charge the spawning process (which may be a thread of another farm).
 	if cur := f.P.Engine().Running(); cur != nil {
@@ -228,7 +204,9 @@ func (f *Farm) kick(waker *sim.Proc) {
 	}
 }
 
-// scheduleLoop runs threads until none are alive.
+// scheduleLoop runs threads until none are alive. It runs on the process's
+// coroutine and is the only place thread coroutines are resumed (and so
+// created; see sim.Coroutine).
 func (f *Farm) scheduleLoop() {
 	for f.live > 0 {
 		f.expireTimed()
@@ -253,11 +231,7 @@ func (f *Farm) scheduleLoop() {
 		f.stats.Switches++
 		f.current = t
 		t.state = threadRunning
-		t.resume <- struct{}{}
-		<-f.yield
-		if f.fatal != nil {
-			panic(f.fatal) // re-raise a forwarded kill/fault on the root goroutine
-		}
+		t.co.Resume()
 		f.current = nil
 	}
 }
@@ -273,9 +247,14 @@ func (f *Farm) Stats() Stats { return f.stats }
 func (f *Farm) Live() int { return f.live }
 
 // park hands control from the running thread back to the scheduler.
+//
+// A thread that parks the whole process instead (Sleep, or any machine
+// operation that waits on the engine) yields the process's coroutine from
+// the thread's: the thread's goroutine is then the one the engine resumes,
+// which sim.Coroutine allows, since coroswitch continues whichever
+// goroutine yielded.
 func (t *Thread) park() {
-	t.Farm.yield <- struct{}{}
-	<-t.resume
+	t.co.Yield()
 	t.state = threadRunning
 }
 
@@ -382,8 +361,8 @@ func (t *Thread) Done() bool { return t.state == threadDone }
 // machine operations (reads, flops) while the thread runs.
 func (t *Thread) P() *sim.Proc { return t.Farm.P }
 
-// Join blocks the calling thread until target finishes. It is implemented
-// with a channel handshake so joins work across farms.
+// Join blocks the calling thread until target finishes. The target wakes
+// its joiners when it finishes, so joins work across farms.
 func (t *Thread) Join(target *Thread) {
 	t.mustBeCurrent("Join")
 	if target.state == threadDone {

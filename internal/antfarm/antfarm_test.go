@@ -391,3 +391,63 @@ func TestSleepChargesTime(t *testing.T) {
 		t.Errorf("slept %d", elapsed)
 	}
 }
+
+// fatalFault is a process-terminating panic value, standing in for a
+// hardware fault raised inside a thread.
+type fatalFault struct{}
+
+func (fatalFault) TerminatesProcess() bool { return true }
+
+// TestThreadDeathEndsItsProcess: a thread runs as its farm's process, so a
+// node kill that lands while a thread waits on the machine (Sleep), a kill
+// while every thread is blocked and the scheduler idles, and a fault raised
+// by a thread all end the farm's process, not the simulation; the rest of
+// the thread never runs and the farm is deregistered.
+func TestThreadDeathEndsItsProcess(t *testing.T) {
+	cases := []struct {
+		name string
+		kill bool
+		body func(main *Thread)
+	}{
+		{"killed in Sleep", true, func(main *Thread) { main.Sleep(10 * sim.Millisecond) }},
+		{"killed while scheduler idles", true, func(main *Thread) { main.BlockThread("never woken") }},
+		{"fault in thread", false, func(main *Thread) {
+			main.Sleep(sim.Millisecond)
+			panic(fatalFault{})
+		}},
+	}
+	for _, c := range cases {
+		os := newOS(t, 2)
+		var resumed, bystander bool
+		pr, _ := os.MakeProcess(nil, "farm", 0, 16, func(self *chrysalis.Process) {
+			Run(self, DefaultConfig(), func(main *Thread) {
+				main.Farm.Spawn("peer", func(p *Thread) { p.YieldThread() })
+				c.body(main)
+				resumed = true
+			})
+		})
+		os.M.Spawn("killer", 1, func(p *sim.Proc) {
+			p.Advance(2 * sim.Millisecond)
+			if c.kill {
+				os.M.E.Kill(pr.P)
+			}
+			p.Advance(20 * sim.Millisecond)
+			bystander = true
+		})
+		if err := os.M.E.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		if !pr.P.Done() || resumed || !bystander {
+			t.Errorf("%s: farm done=%v, thread resumed=%v, bystander finished=%v", c.name, pr.P.Done(), resumed, bystander)
+		}
+		if c.kill != pr.P.Killed() {
+			t.Errorf("%s: Killed() = %v", c.name, pr.P.Killed())
+		}
+		if _, ok := pr.P.Fatal().(fatalFault); ok == c.kill {
+			t.Errorf("%s: Fatal() = %v", c.name, pr.P.Fatal())
+		}
+		if FarmOf(pr) != nil {
+			t.Errorf("%s: farm still registered after its process died", c.name)
+		}
+	}
+}

@@ -116,6 +116,9 @@ type Process struct {
 	OS   *OS
 	AS   *memory.AddressSpace
 	Root *Object // ownership root; deleting it reclaims the process's objects
+	// Model is the programming-model state the process runs under (an
+	// smp.Member), for that layer's use; it lives and dies with the process.
+	Model any
 
 	sarCacheHits int64
 }

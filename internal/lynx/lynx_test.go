@@ -2,6 +2,7 @@ package lynx
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,5 +283,50 @@ func TestEndsAccessors(t *testing.T) {
 	})
 	if err := os.M.E.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestRPCOnLockedThread: a Lynx simulation, whose processes run Ant Farm
+// threads as coroutines inside process coroutines, runs on a goroutine that
+// called runtime.LockOSThread (as lab workers do) after being set up on
+// another. The runtime throws if a coroutine is resumed with thread locking
+// other than at its creation.
+func TestRPCOnLockedThread(t *testing.T) {
+	os := newOS(t, 2)
+	server, err := Spawn(os, "server", 1, DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.Bind("double", func(ht *antfarm.Thread, args any, words int) (any, int, error) {
+		return args.(int) * 2, 1, nil
+	})
+	var got []int
+	_, err = Spawn(os, "client", 0, DefaultConfig(), func(self *Proc, th *antfarm.Thread) {
+		l := NewLink(self, server)
+		for i := 1; i <= 3; i++ {
+			v, err := self.Call(th, l, "double", i, 1)
+			if err != nil {
+				t.Errorf("Call: %v", err)
+				return
+			}
+			got = append(got, v.(int))
+		}
+		server.Shutdown(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		if err := os.M.E.Run(); err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	<-done
+	if len(got) != 3 || got[0] != 2 || got[2] != 6 {
+		t.Errorf("replies = %v, want [2 4 6]", got)
 	}
 }

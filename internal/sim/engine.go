@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine.
-// Simulated processes run as goroutines, but the engine resumes exactly one
-// process at a time per partition, in (virtual time, FIFO sequence) order, so
-// a simulation is reproducible and free of data races by construction.
+// Simulated processes run as coroutines (see Coroutine), and one dispatch
+// loop per partition resumes exactly one of them at a time, in (virtual time,
+// FIFO sequence) order, so a simulation is reproducible and free of data
+// races by construction.
 //
 // The engine is the substrate for the Butterfly machine model: every higher
 // layer (memory modules, the switching network, Chrysalis, the programming
@@ -9,7 +10,7 @@
 // is measured in integer nanoseconds.
 //
 // Time is charged through a two-tier API. Proc.Charge accumulates virtual
-// time in a per-process local clock without suspending the goroutine; the
+// time in a per-process local clock without suspending the process; the
 // park-based Proc.Advance (and the implicit flushes at every synchronization
 // point: Block, Unblock, Yield, spawn, exit, wait-queue and barrier
 // operations) folds the local clock back into the shared event queue. A
@@ -77,8 +78,8 @@ type Proc struct {
 	Ctx any
 
 	eng        *Engine
-	sd         *sched // the partition scheduler that owns this process
-	resume     chan struct{}
+	sd         *sched     // the partition scheduler that owns this process
+	co         *Coroutine // runs the body, from its first dispatch on
 	state      procState
 	blockedOn  string // reason string while blocked, for deadlock reports
 	exited     bool   // set when terminated via Exit or Kill
@@ -157,11 +158,11 @@ type Stats struct {
 const DefaultLookahead = 250 * Microsecond
 
 // sched is the event queue and clock of one partition. A classic engine has
-// exactly one; a partitioned engine has one per partition, each driven by its
-// own goroutine chain inside a window while the coordinator waits. All fields
-// are owned by whichever goroutine currently runs the partition — ownership
-// transfers through the drained/resume channels, which provide the needed
-// happens-before edges.
+// exactly one, dispatched by Run's goroutine; a partitioned engine has one
+// per partition, each dispatched by its own goroutine inside a window while
+// the coordinator waits. All fields are owned by whichever goroutine
+// currently runs the partition; ownership transfers through the start and
+// drained channels, which provide the needed happens-before edges.
 type sched struct {
 	eng     *Engine
 	id      int
@@ -169,6 +170,9 @@ type sched struct {
 	seq     uint64
 	heap    []*Proc // indexed min-heap by (at, seq); one entry per ready proc
 	running *Proc
+	// next is the process the dispatch loop resumes once the running one
+	// yields or finishes; nil ends the loop (nothing dispatchable is left).
+	next    *Proc
 	live    int // processes spawned into this partition and not yet done
 	blocked int // processes currently blocked
 	stats   Stats
@@ -176,6 +180,12 @@ type sched struct {
 	// windowEnd bounds dispatch in partitioned mode: events at or after it
 	// stay queued until the next window. Classic mode leaves it at MaxInt64.
 	windowEnd int64
+	// start wakes the partition's goroutine for each window in partitioned
+	// mode (see runWindows). aborted records that a real panic (abort) or a
+	// runtime.Goexit (abort nil) from a process body ended that goroutine.
+	start   chan struct{}
+	aborted bool
+	abort   any
 	// outbox collects cross-partition exchanges issued during the current
 	// window, serviced by the coordinator at the barrier.
 	outbox []exchangeReq
@@ -204,11 +214,9 @@ func (s *sched) flushRunning() {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New. By default it is strictly sequential; see EnablePartitions.
 type Engine struct {
-	scheds    []*sched
-	done      chan struct{}
-	procs     []*Proc
-	lookahead int64
-	started   bool
+	scheds  []*sched
+	procs   []*Proc
+	started bool
 
 	// Partitioned-mode state (see partition.go). windowed is set by
 	// EnablePartitions; partOf maps a node index to a partition index;
@@ -231,7 +239,7 @@ type Engine struct {
 	probe *probe.Probe
 
 	// interrupted is the only piece of engine state that may be touched
-	// from outside the simulation's goroutine chain: an external watchdog
+	// from outside the simulation's dispatch loops: an external watchdog
 	// (job timeout, cancellation) sets it, and the dispatcher checks it at
 	// every dispatch point.
 	interrupted atomic.Bool
@@ -246,7 +254,7 @@ type Engine struct {
 
 // New creates an empty simulation engine at virtual time zero.
 func New() *Engine {
-	e := &Engine{done: make(chan struct{}, 1), lookahead: DefaultLookahead}
+	e := &Engine{}
 	e.scheds = []*sched{newSched(e, 0)}
 	return e
 }
@@ -282,16 +290,6 @@ func (e *Engine) Now() int64 {
 // classic engine this equals Engine.Now. Unlike Engine.Now it is always safe
 // to call from a running process body.
 func (p *Proc) Now() int64 { return p.sd.now }
-
-// SetLookahead bounds how much virtual time a process may accumulate via
-// Charge before being flushed through the event queue, and — on a partitioned
-// engine — sets the width of the synchronization window. Values <= 0 make
-// every Charge flush immediately (eager charging, useful to bisect
-// equivalence issues). The default is DefaultLookahead.
-func (e *Engine) SetLookahead(d int64) { e.lookahead = d }
-
-// Lookahead returns the current lookahead threshold.
-func (e *Engine) Lookahead() int64 { return e.lookahead }
 
 // Stats returns a copy of the engine counters, summed across partitions.
 func (e *Engine) Stats() Stats {
@@ -355,7 +353,6 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 		Node:      node,
 		eng:       e,
 		sd:        s,
-		resume:    make(chan struct{}, 1),
 		state:     stateNew,
 		spawnedAt: s.now,
 		heapIdx:   -1,
@@ -363,11 +360,11 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 	e.procs = append(e.procs, p)
 	s.live++
 	s.stats.Spawned++
-	go func() {
-		<-p.resume // wait for first dispatch
-		// The completion notification is deferred so that the simulation
-		// continues even if fn terminates via runtime.Goexit (e.g. t.Fatal
-		// in a test body) — otherwise the engine would wait forever.
+	p.co = NewCoroutine(func() {
+		// The completion handler is deferred so that it runs however the
+		// body ends: a return, Exit or Kill, a Terminator, or a real panic
+		// or runtime.Goexit, which the dispatch loop's Resume then raises
+		// again on the goroutine that called Run.
 		defer func() {
 			p.finishing = true
 			if p.local > 0 {
@@ -385,13 +382,9 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 				pr.ProcRun(p.dispatchedAt, s.now-p.dispatchedAt, p.ID)
 				pr.ProcDone(s.now, p.ID)
 			}
-			// Hand control to the next scheduled process directly; this
-			// goroutine is finished and never parks again.
-			if next := s.popNext(); next != nil {
-				next.resume <- struct{}{}
-			} else {
-				s.suspend()
-			}
+			// Tell the dispatch loop what to resume next; this coroutine is
+			// finished and never parks again.
+			s.next = s.popNext()
 		}()
 		defer func() {
 			r := recover()
@@ -420,12 +413,12 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 				p.fatal = r
 				return
 			}
-			panic(r) // real panic: propagate (crashes the test)
+			panic(r) // real panic: propagate to Run's caller
 		}()
 		if !p.killed {
 			fn(p)
 		}
-	}()
+	})
 	s.schedule(p, s.now)
 	if pr := e.probe; pr != nil {
 		p.parkedAt = s.now
@@ -436,13 +429,6 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 
 // errExit is the sentinel panic value used by Proc.Exit.
 var errExit = new(int)
-
-// IsExitPanic reports whether a recovered panic value is the engine's
-// process-exit sentinel — a Proc.Exit or a kill unwinding the process.
-// Coroutine schedulers that run process code on auxiliary goroutines
-// (antfarm threads) use it to recognize the unwind and forward it to the
-// process's root goroutine, where the engine's recovery handler runs.
-func IsExitPanic(r any) bool { return r == errExit }
 
 // Terminator is implemented by panic values that terminate only the raising
 // process rather than the whole simulation — the software analogue of a
@@ -569,14 +555,15 @@ func (s *sched) popNext() *Proc {
 	return p
 }
 
-// suspend returns control to Run when the partition has no dispatchable
-// event left: the classic engine is simply finished; a partitioned one
-// notifies the coordinator that this partition drained its window.
-func (s *sched) suspend() {
-	if s.eng.windowed {
-		s.eng.drained <- s
-	} else {
-		s.eng.done <- struct{}{}
+// dispatch is the partition's dispatch loop, the only place a process is
+// resumed: it runs the earliest dispatchable process until that process
+// parks or finishes, then the one the process named in s.next, until no
+// dispatchable event is left. Every coroutine of a partition is created and
+// resumed by this loop on one goroutine (Run's for a classic engine, the
+// partition's own for a partitioned one), as Coroutine requires.
+func (s *sched) dispatch() {
+	for p := s.popNext(); p != nil; p = s.next {
+		p.co.Resume()
 	}
 }
 
@@ -584,6 +571,11 @@ func (s *sched) suspend() {
 // clean finish (all processes completed) and a *DeadlockError if processes
 // remain blocked with nothing runnable. Run must be called exactly once;
 // a second call panics.
+//
+// A real panic in a process body (one that is not a Terminator, with
+// TrapPanics off) is raised again from Run. A runtime.Goexit in a process
+// body, such as t.Fatal in a test, completes that process and then ends
+// the goroutine that called Run, so Run does not return.
 func (e *Engine) Run() error {
 	if e.started {
 		panic("sim: Engine.Run called more than once")
@@ -592,14 +584,7 @@ func (e *Engine) Run() error {
 	if e.windowed {
 		e.runWindows()
 	} else {
-		// Dispatch is a chain of direct goroutine-to-goroutine handoffs: each
-		// parking process resumes the next scheduled one itself, and control
-		// returns here only when the event queue is empty.
-		s := e.scheds[0]
-		if first := s.popNext(); first != nil {
-			first.resume <- struct{}{}
-			<-e.done
-		}
+		e.scheds[0].dispatch()
 	}
 	e.trapMu.Lock()
 	trapped := e.trapped
@@ -630,8 +615,9 @@ func (e *Engine) Run() error {
 
 // park suspends the calling process and transfers control to the next
 // scheduled event. If that event is the caller's own (the common case on an
-// uncontended timeline), the clock advances in place with no goroutine
-// switch at all.
+// uncontended timeline), the clock advances in place with no switch at all;
+// otherwise the process names its successor in s.next and yields to the
+// dispatch loop.
 func (p *Proc) park() {
 	s := p.sd
 	s.stats.Parks++
@@ -647,12 +633,8 @@ func (p *Proc) park() {
 		}
 		return // own event is next: no context switch needed
 	}
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		s.suspend()
-	}
-	<-p.resume
+	s.next = next
+	p.co.Yield()
 	if p.killed && !p.finishing {
 		panic(errExit) // killed while parked: die at the resumption point
 	}
@@ -679,7 +661,7 @@ func (p *Proc) Charge(d int64) {
 	}
 	p.local += d
 	p.sd.stats.Charges++
-	if p.local >= p.eng.lookahead {
+	if p.local >= DefaultLookahead {
 		p.sync()
 	}
 }
@@ -752,19 +734,31 @@ func (p *Proc) Block(reason string) {
 // caller's local clock is flushed first, so the wake happens at the caller's
 // true current time.
 //
-// During a partitioned run the caller must be a process on the same node as
-// p: waking across nodes would couple partitions mid-window. The partitioned
+// During a partitioned run Unblock panics. Wakes there must be same-node
+// (waking across nodes would couple partitions mid-window; the partitioned
 // programming model routes all cross-node interaction through the machine
-// layer's exchange operations instead.
+// layer's exchange operations instead), and checking that needs the waking
+// process, which the engine cannot find without reading another partition's
+// state. Wake through a WaitQueue instead: it knows its waker.
 func (e *Engine) Unblock(p *Proc, delay int64) {
-	s := p.sd
 	if e.windowed && e.started {
-		r := s.running
-		if r == nil || r.Node != p.Node {
-			panic(fmt.Sprintf("sim: Unblock of proc %d %q (node %d) from another node during a partitioned run", p.ID, p.Name, p.Node))
-		}
+		panic(fmt.Sprintf("sim: Unblock of proc %d %q during a partitioned run (wake it through a WaitQueue)", p.ID, p.Name))
 	}
-	s.flushRunning()
+	e.wake(p.sd.running, p, delay)
+}
+
+// wake is Unblock on behalf of waker, the running process performing the
+// wake (nil during engine setup). The same-node check of a partitioned run
+// reads only the two processes' nodes, which never change, so it is
+// race-free even when it catches a waker from another partition.
+func (e *Engine) wake(waker, p *Proc, delay int64) {
+	if e.windowed && e.started && (waker == nil || waker.Node != p.Node) {
+		panic(fmt.Sprintf("sim: Unblock of proc %d %q (node %d) from another node during a partitioned run", p.ID, p.Name, p.Node))
+	}
+	if waker != nil {
+		waker.sync()
+	}
+	s := p.sd
 	if p.timedWait {
 		// The process is waiting with a timeout: it is stateReady with a
 		// pending timeout event in the heap, not stateBlocked. Clearing
@@ -800,8 +794,8 @@ func (p *Proc) Exit() {
 // InterruptError is returned by Run when the simulation was stopped early via
 // Interrupt (a job timeout or cancellation, not anything the simulated
 // machine did). Live counts the processes that had not completed when the
-// event chain drained — blocked processes are abandoned, their goroutines
-// parked forever, so an interrupted engine must simply be dropped.
+// event chain drained — blocked processes are abandoned, their coroutines
+// suspended forever, so an interrupted engine must simply be dropped.
 type InterruptError struct {
 	Now  int64
 	Live int
@@ -834,7 +828,7 @@ func (e *Engine) TrapPanics() { e.trapPanics = true }
 
 // Kill terminates another process from outside, modelling a node failure: the
 // victim never runs user code again. A blocked or waiting victim is
-// rescheduled at the current time so its goroutine unwinds promptly (its park
+// rescheduled at the current time so its coroutine unwinds promptly (its park
 // panics the exit sentinel at the resumption point); a ready victim dies at
 // its next dispatch. Any lazily charged local time the victim has accumulated
 // is discarded — a killed process's unflushed work never happened. Killing

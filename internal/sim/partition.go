@@ -10,12 +10,12 @@ package sim
 //
 // where globalMin is the earliest pending event across all partitions. Every
 // partition executes its own events inside the window concurrently — its
-// processes run exactly as on the classic engine, as a chain of direct
-// goroutine handoffs — and a partition that interacts with state owned by
-// another partition does so only through Proc.Exchange, which parks the
-// process until the window barrier. At the barrier the coordinator services
-// all exchanges of the window in (issue time, process ID) order and resumes
-// each requester no earlier than the window end.
+// processes run exactly as on the classic engine, resumed one at a time by
+// the partition's dispatch loop — and a partition that interacts with state
+// owned by another partition does so only through Proc.Exchange, which parks
+// the process until the window barrier. At the barrier the coordinator
+// services all exchanges of the window in (issue time, process ID) order and
+// resumes each requester no earlier than the window end.
 //
 // Why results are independent of the partition count:
 //
@@ -124,11 +124,21 @@ func (p *Proc) Exchange(fn func(issue int64) int64) {
 // window, lets active partitions execute it (concurrently when safe),
 // services the window's exchanges at the barrier, and repeats until no
 // events remain anywhere.
+//
+// Each partition runs on one goroutine for the whole run, which executes the
+// partition's dispatch loop once per window, in the sequential fallback too:
+// so every process coroutine is created and resumed from one goroutine, as
+// Coroutine requires.
 func (e *Engine) runWindows() {
-	window := e.lookahead
-	if window <= 0 {
-		window = 1
+	for _, s := range e.scheds {
+		s.start = make(chan struct{})
+		go e.partitionLoop(s)
 	}
+	defer func() {
+		for _, s := range e.scheds {
+			close(s.start)
+		}
+	}()
 	// Concurrent execution needs >1 partition and real parallelism to win;
 	// an attached probe forces sequential windows so the observed event
 	// stream is deterministic. Sequential execution is semantically
@@ -146,7 +156,7 @@ func (e *Engine) runWindows() {
 			// barrier, so the simulation is finished (or deadlocked).
 			return
 		}
-		wEnd := globalMin + window
+		wEnd := globalMin + DefaultLookahead
 		active := e.activeScr[:0]
 		for _, s := range e.scheds {
 			if len(s.heap) > 0 && s.heap[0].at < wEnd {
@@ -158,22 +168,26 @@ func (e *Engine) runWindows() {
 		t0 := time.Now()
 		if concurrent && len(active) > 1 {
 			for _, s := range active {
-				first := s.popNext()
-				first.resume <- struct{}{}
+				s.start <- struct{}{}
 			}
 			for range active {
-				s := <-e.drained
-				s.drainedAt = int64(time.Since(t0))
+				<-e.drained
 			}
 		} else {
 			for _, s := range active {
-				// Per-sched stopwatch: measuring from t0 would fold every
-				// earlier partition's drain into this one's busy time.
-				ds := time.Now()
-				first := s.popNext()
-				first.resume <- struct{}{}
-				sd := <-e.drained
-				sd.drainedAt = int64(time.Since(ds))
+				s.start <- struct{}{}
+				<-e.drained
+			}
+		}
+		for _, s := range active {
+			if s.aborted {
+				// A process body's real panic or runtime.Goexit ended the
+				// partition's goroutine: raise it again on Run's goroutine,
+				// as the classic engine's dispatch loop does.
+				if s.abort != nil {
+					panic(s.abort)
+				}
+				runtime.Goexit()
 			}
 		}
 		execNs := int64(time.Since(t0))
@@ -202,6 +216,30 @@ func (e *Engine) runWindows() {
 		e.barrierNs += int64(time.Since(t0)) - execNs
 		e.windows++
 	}
+}
+
+// partitionLoop is the goroutine of partition s: it runs one window per
+// start signal and reports on drained, with drainedAt set to the time it
+// spent executing (its own stopwatch, started once it runs, so waiting for
+// its turn in a sequential window is not counted busy). It ends when start
+// is closed, or when a real panic or runtime.Goexit from a process body
+// unwinds it, which it reports on drained too.
+func (e *Engine) partitionLoop(s *sched) {
+	finished := false
+	defer func() {
+		if !finished {
+			s.aborted = true
+			s.abort = recover() // nil for a Goexit
+			e.drained <- s
+		}
+	}()
+	for range s.start {
+		t0 := time.Now()
+		s.dispatch()
+		s.drainedAt = int64(time.Since(t0))
+		e.drained <- s
+	}
+	finished = true
 }
 
 func containsSched(ss []*sched, s *sched) bool {

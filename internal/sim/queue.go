@@ -50,7 +50,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d int64) (timedOut bool) {
 // failed) are discarded silently. It reports whether a process was woken.
 // A running caller's local clock is flushed before the queue is examined.
 func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
-	q.flushWaker(e)
+	w := q.waker(e)
 	for len(q.procs) > 0 {
 		p := q.procs[0]
 		copy(q.procs, q.procs[1:])
@@ -58,7 +58,7 @@ func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
 		if p.killed {
 			continue
 		}
-		e.Unblock(p, delay)
+		e.wake(w, p, delay)
 		return true
 	}
 	return false
@@ -69,32 +69,36 @@ func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
 // number of processes woken. A running caller's local clock is flushed before
 // the queue is examined.
 func (q *WaitQueue) WakeAll(e *Engine, delay int64) int {
-	q.flushWaker(e)
+	w := q.waker(e)
 	n := 0
 	for _, p := range q.procs {
 		if p.killed {
 			continue
 		}
-		e.Unblock(p, delay)
+		e.wake(w, p, delay)
 		n++
 	}
 	q.procs = q.procs[:0]
 	return n
 }
 
-// flushWaker flushes the running caller's lazy clock before a wake operation
-// examines the queue. On a classic engine the caller is the single running
-// process. On a partitioned engine wakes are same-node by contract (see
-// Engine.Unblock), so the caller is reached through the first waiter's
-// partition; an empty queue needs no flush, since there is nobody to wake.
-func (q *WaitQueue) flushWaker(e *Engine) {
+// waker returns the process performing a wake (nil during engine setup),
+// with its lazy clock flushed before the queue is examined. On a classic
+// engine it is the single running process. On a partitioned engine a wait
+// queue is a same-node object, like all shared Go state, so its waker runs
+// in the partition of its waiters; an empty queue needs no waker, since
+// there is nobody to wake.
+func (q *WaitQueue) waker(e *Engine) *Proc {
+	var w *Proc
 	if !e.windowed {
-		e.scheds[0].flushRunning()
-		return
+		w = e.scheds[0].running
+	} else if len(q.procs) > 0 {
+		w = q.procs[0].sd.running
 	}
-	if len(q.procs) > 0 {
-		q.procs[0].sd.flushRunning()
+	if w != nil {
+		w.sync()
 	}
+	return w
 }
 
 // Remove deletes a specific process from the queue without waking it

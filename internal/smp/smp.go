@@ -3,7 +3,6 @@ package smp
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"butterfly/internal/chrysalis"
 	"butterfly/internal/fault"
@@ -123,7 +122,7 @@ func NewFamily(os *chrysalis.OS, creator *Member, name string, nodes []int, topo
 		pr, err := os.MakeProcess(creatorProc, fmt.Sprintf("%s[%d]", name, i), nodes[i], 64, func(self *chrysalis.Process) {
 			m.Pr = self
 			m.P = self.P
-			m.register()
+			self.Model = m
 			body(m)
 		})
 		if err != nil {
@@ -190,32 +189,11 @@ func (f *Family) deliver(sender *sim.Proc, dst *Member, msg Message) (err error)
 
 // memberOf maps a simulated process back to its SMP member, if any.
 func memberOf(p *sim.Proc) *Member {
-	pr, ok := p.Ctx.(*chrysalis.Process)
-	if !ok {
-		return nil
+	if pr := chrysalis.Self(p); pr != nil {
+		m, _ := pr.Model.(*Member)
+		return m
 	}
-	prMembersMu.RLock()
-	m := prMembers[pr]
-	prMembersMu.RUnlock()
-	return m
-}
-
-// prMembers associates Chrysalis processes with SMP members. Each simulation
-// is single-threaded, but independent simulations may run concurrently on
-// lab workers; process pointers never collide across simulations, so the
-// lock only protects the map structure itself.
-var (
-	prMembersMu sync.RWMutex
-	prMembers   = map[*chrysalis.Process]*Member{}
-)
-
-// register must be called once the member's process exists.
-func (m *Member) register() {
-	if m.Pr != nil {
-		prMembersMu.Lock()
-		prMembers[m.Pr] = m
-		prMembersMu.Unlock()
-	}
+	return nil
 }
 
 // put stores a message and returns its mailbox slot.
